@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from .errors import BuilderError, ModelError
 from .germs import (
@@ -22,11 +22,17 @@ from .germs import (
     normalize_cusp,
     simple_elliptic,
 )
-from .lattice import IntersectionLattice, is_negative_definite
+from .lattice import (
+    IntersectionLattice,
+    cycle_edges,
+    graph_lattice,
+    is_negative_definite,
+)
 from .divisors import (
     Curve,
     DivisorClass,
     SurfaceModel,
+    adjunction_genus,
     basis_class,
     blowup,
     combo,
@@ -90,30 +96,13 @@ def c2_length_counts(p_g: int, r: int | None = None) -> tuple[int, int | None]:
 # ---------------------------------------------------------------------------
 
 
-def _assemble(
-    labels: Sequence[str],
-    diag: Mapping[str, int],
-    pairs: Mapping[tuple[str, str], int],
-) -> IntersectionLattice:
-    index = {name: i for i, name in enumerate(labels)}
-    n = len(labels)
-    g = [[0] * n for _ in range(n)]
-    for name, d in diag.items():
-        g[index[name]][index[name]] = d
-    for (a, b), v in pairs.items():
-        i, j = index[a], index[b]
-        g[i][j] += v
-        g[j][i] += v
-    return IntersectionLattice(tuple(labels), tuple(tuple(row) for row in g))
-
-
 def add_curves(surf: SurfaceModel, *curves: Curve) -> SurfaceModel:
     return replace(surf, curves=surf.curves + curves)
 
 
 def projective_plane() -> SurfaceModel:
     """P^2: Num = Z.H with H^2 = 1, K = -3H."""
-    lat = IntersectionLattice(("H",), ((1,),))
+    lat = graph_lattice(("H",), (1,), ())
     H = basis_class(lat, "H")
     return SurfaceModel(lat, -3 * H, 1, (Curve("H", H, "other"),))
 
@@ -121,7 +110,7 @@ def projective_plane() -> SurfaceModel:
 def rational_elliptic_surface() -> SurfaceModel:
     """Rational elliptic surface with one multiple fiber F of multiplicity 2
     and an exceptional bisection E; K = -F, general fiber f = 2F."""
-    lat = _assemble(("F", "E"), {"F": 0, "E": -1}, {("F", "E"): 1})
+    lat = graph_lattice(("F", "E"), (0, -1), [("F", "E")])
     F = basis_class(lat, "F")
     E = basis_class(lat, "E")
     return SurfaceModel(
@@ -135,7 +124,7 @@ def rational_elliptic_surface() -> SurfaceModel:
 def elliptic_ruled_surface() -> SurfaceModel:
     """The ruled surface P(W) over an elliptic curve, W the nonsplit
     extension of O(p0) by O; Num = Z.sig + Z.f with sig^2 = 1, K = -2sig+f."""
-    lat = _assemble(("sig", "f"), {"sig": 1, "f": 0}, {("sig", "f"): 1})
+    lat = graph_lattice(("sig", "f"), (1, 0), [("sig", "f")])
     sig = basis_class(lat, "sig")
     f = basis_class(lat, "f")
     return SurfaceModel(
@@ -143,6 +132,21 @@ def elliptic_ruled_surface() -> SurfaceModel:
         -2 * sig + f,
         0,
         (Curve("sig", sig, "section"), Curve("f", f, "fiber-component")),
+    )
+
+
+def two_double_fiber_ruled_surface() -> SurfaceModel:
+    """The ruled surface over an elliptic curve whose elliptic pencil,
+    general member phi = 2s, has two double fibers; Num = Z.s + Z.f with
+    s^2 = 0, s.f = 1, K = -2s, chi(O) = 0."""
+    lat = graph_lattice(("s", "f"), (0, 0), [("s", "f")])
+    s = basis_class(lat, "s")
+    f = basis_class(lat, "f")
+    return SurfaceModel(
+        lat,
+        -2 * s,
+        0,
+        (Curve("s", s, "section"), Curve("f", f, "fiber-component")),
     )
 
 
@@ -185,12 +189,34 @@ def _shape_germ(shape, target_mult: int, j_tag: str | None = None) -> Singularit
     return germ
 
 
-def _cycle_positions(germ: SingularityGerm) -> tuple[tuple[int, ...], list[int]]:
-    """Component squares (as positive e_i) in cycle order plus the indices
-    of the distinguished components (entries > 2)."""
-    es = germ.data
-    marked = [i for i, e in enumerate(es) if e > 2]
-    return es, marked
+def _cycle(
+    germ: SingularityGerm, names: Sequence[str]
+) -> tuple[list[tuple[str, str]], list[int]]:
+    """Dual-graph edges of the germ's resolution cycle on the component
+    `names` (in cycle order) and the positions of its distinguished
+    components, the entries > 2."""
+    return cycle_edges(names), [i for i, e in enumerate(germ.data) if e > 2]
+
+
+def _anticanonical_cycle(
+    germ: SingularityGerm, names: Sequence[str]
+) -> tuple[list[int], list[tuple[str, str]], dict[str, int]]:
+    """Pre-blowup diagonal, edges and blowup multiplicities of a
+    multiplicity-2 cycle whose entries > 2 come from one blowup.
+
+    Type (4, 2, ..): the distinguished component is self-nodal of square
+    0 and the node is blown up with multiplicity 2. Type (3, .., 3, ..):
+    the two distinguished components meet at one extra node, blown up
+    with multiplicity 1 on each.
+    """
+    edges, marked = _cycle(germ, names)
+    if len(marked) == 1:
+        if germ.data[marked[0]] != 4:
+            raise BuilderError(f"unexpected cycle entry {germ.data[marked[0]]}")
+        diag = [0 if i == marked[0] else -2 for i in range(len(names))]
+        return diag, edges, {names[marked[0]]: 2}
+    a, b = names[marked[0]], names[marked[1]]
+    return [-2] * len(names), edges + [(a, b)], {a: 1, b: 1}
 
 
 def _check_mults_option(key: str, mults, expected: tuple[int, ...]) -> None:
@@ -215,27 +241,15 @@ def _check_mults_option(key: str, mults, expected: tuple[int, ...]) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _cycle_pairs(names: Sequence[str]) -> dict[tuple[str, str], int]:
-    """Cycle adjacencies, accumulated (a 2-cycle pairs with entry 2)."""
-    pairs: dict[tuple[str, str], int] = {}
-    r = len(names)
-    for i in range(r):
-        key = (names[i], names[(i + 1) % r])
-        pairs[key] = pairs.get(key, 0) + 1
-    return pairs
-
-
 def _build_empty() -> SurfaceModel:
-    lat = IntersectionLattice(("KY",), ((1,),))
+    lat = graph_lattice(("KY",), (1,), ())
     return SurfaceModel(lat, basis_class(lat, "KY"), 3, ())
 
 
 def _build_kappa1(shape) -> SurfaceModel:
     germ = _shape_germ(shape, 1)
     if shape in IRREDUCIBLE_SHAPES:
-        lat = _assemble(
-            ("F", "D"), {"F": 0, "D": -1}, {("F", "D"): 1}
-        )
+        lat = graph_lattice(("F", "D"), (0, -1), [("F", "D")])
         curves = (
             Curve("F", basis_class(lat, "F"), "fiber-component"),
             Curve("D", basis_class(lat, "D"), "bisection"),
@@ -244,73 +258,27 @@ def _build_kappa1(shape) -> SurfaceModel:
             lat, basis_class(lat, "F"), 2, curves, (("D",),), (germ,)
         )
     # reducible: bisection of square -3 plus fiber components of square -2
-    es, marked = _cycle_positions(germ)
+    names = [f"E{i+1}" for i in range(len(germ.data))]
+    edges, marked = _cycle(germ, names)
     if len(marked) != 1:
         raise BuilderError("a kappa=1 divisor cycle has a single (-3) component")
-    r = len(es)
-    names = [f"E{i+1}" for i in range(r)]
-    diag = {names[i]: -es[i] for i in range(r)}
-    diag["F"] = 0
-    pairs = _cycle_pairs(names)
-    pairs[("F", names[marked[0]])] = 1
-    lat = _assemble(["F"] + names, diag, pairs)
+    bis = names[marked[0]]
+    lat = graph_lattice(
+        ["F"] + names, [0] + [-e for e in germ.data], edges + [("F", bis)]
+    )
     curves = [Curve("F", basis_class(lat, "F"), "fiber-component")]
-    for i, name in enumerate(names):
-        tag = "bisection" if i == marked[0] else "fiber-component"
+    for name in names:
+        tag = "bisection" if name == bis else "fiber-component"
         curves.append(Curve(name, basis_class(lat, name), tag))
     return SurfaceModel(
         lat, basis_class(lat, "F"), 2, tuple(curves), (tuple(names),), (germ,)
     )
 
 
-def _anticanonical_cycle_block(
-    germ: SingularityGerm, prefix: str
-) -> tuple[list[str], dict, dict, dict[str, int]]:
-    """Pre-blowup data for a multiplicity-2 cycle whose entries > 2 come
-    from one blowup: names, diagonal, internal pairs, blowup multiplicities.
-
-    Type (4, 2, ..): the distinguished component is self-nodal of square
-    0 and the node is blown up with multiplicity 2. Type (3, .., 3, ..):
-    the two distinguished components meet at one extra node, blown up
-    with multiplicity 1 on each.
-    """
-    es, marked = _cycle_positions(germ)
-    r = len(es)
-    names = [f"{prefix}{i+1}" for i in range(r)]
-    pairs = _cycle_pairs(names)
-    if len(marked) == 1:
-        if es[marked[0]] != 4:
-            raise BuilderError(f"unexpected cycle entry {es[marked[0]]}")
-        diag = {names[i]: (0 if i == marked[0] else -2) for i in range(r)}
-        mults = {names[marked[0]]: 2}
-    else:
-        diag = {n: -2 for n in names}
-        mults = {names[marked[0]]: 1, names[marked[1]]: 1}
-        key = (names[marked[0]], names[marked[1]])
-        pairs[key] = pairs.get(key, 0) + 1
-    return names, diag, pairs, mults
-
-
-def _final_cycle_block(
-    germ: SingularityGerm, prefix: str
-) -> tuple[list[str], dict, dict, dict[str, int]]:
-    """A marked divisor declared directly in its final shape: names,
-    diagonal, cycle pairs, and the contact distribution (how a curve
-    meeting the divisor with total multiplicity m touches components)."""
-    if len(germ.data) == 1 or germ.kind == "simple_elliptic":
-        name = f"{prefix}1"
-        return [name], {name: -multiplicity(germ)}, {}, {name: multiplicity(germ)}
-    es, marked = _cycle_positions(germ)
-    names = [f"{prefix}{i+1}" for i in range(len(es))]
-    diag = {names[i]: -es[i] for i in range(len(es))}
-    contact = {names[i]: es[i] - 2 for i in marked}
-    return names, diag, _cycle_pairs(names), contact
-
-
 def _build_k3(shape) -> SurfaceModel:
     germ = _shape_germ(shape, 2)
     if shape in IRREDUCIBLE_SHAPES:
-        lat = IntersectionLattice(("Dbar",), ((2,),))
+        lat = graph_lattice(("Dbar",), (2,), ())
         base = SurfaceModel(
             lat,
             zero_class(lat),
@@ -320,46 +288,45 @@ def _build_k3(shape) -> SurfaceModel:
             (germ,),
         )
         return blowup(base, {"D": 2}, "C")
-    names, diag, pairs, mults = _anticanonical_cycle_block(germ, "E")
-    lat = _assemble(names, diag, pairs)
+    names = [f"E{i+1}" for i in range(len(germ.data))]
+    diag, edges, mults = _anticanonical_cycle(germ, names)
+    lat = graph_lattice(names, diag, edges)
     curves = tuple(Curve(n, basis_class(lat, n), "other") for n in names)
     base = SurfaceModel(lat, zero_class(lat), 2, curves, (tuple(names),), (germ,))
     return blowup(base, mults, "C")
 
 
-def _enriques_block(shape, prefix: str, target_mult: int):
-    """(names, diag, pairs, crossing component) for one Enriques half-fiber."""
-    germ = _shape_germ(shape, target_mult)
-    if shape in IRREDUCIBLE_SHAPES:
-        name = f"{prefix}1"
-        return germ, [name], {name: 0}, {}, name
-    es, marked = _cycle_positions(germ)
-    if len(marked) != 1 or es[marked[0]] != 3:
-        raise BuilderError(
-            "an Enriques-side cycle is the multiplicity-1 type (3,2,..,2)"
-        )
-    names = [f"{prefix}{i+1}" for i in range(len(es))]
-    diag = {n: -2 for n in names}
-    return germ, names, diag, _cycle_pairs(names), names[marked[0]]
-
-
 def _build_enriques(shape1, shape2) -> SurfaceModel:
-    germ1, names1, diag1, pairs1, cross1 = _enriques_block(shape1, "A", 1)
-    germ2, names2, diag2, pairs2, cross2 = _enriques_block(shape2, "B", 1)
-    labels = names1 + names2
-    diag = {**diag1, **diag2}
-    pairs = {**pairs1, **pairs2, (cross1, cross2): 1}
-    lat = _assemble(labels, diag, pairs)
+    labels, diag, edges, groups, germs, crossing = [], [], [], [], [], []
+    for shape, prefix in ((shape1, "A"), (shape2, "B")):
+        germ = _shape_germ(shape, 1)
+        names = [f"{prefix}{i+1}" for i in range(len(germ.data))]
+        cycle, marked = _cycle(germ, names)
+        if shape in IRREDUCIBLE_SHAPES:
+            diag.append(0)
+            crossing.append(names[0])
+        else:
+            if len(marked) != 1 or germ.data[marked[0]] != 3:
+                raise BuilderError(
+                    "an Enriques-side cycle is the multiplicity-1 type (3,2,..,2)"
+                )
+            diag += [-2] * len(names)
+            crossing.append(names[marked[0]])
+        labels += names
+        edges += cycle
+        groups.append(tuple(names))
+        germs.append(germ)
+    lat = graph_lattice(labels, diag, edges + [tuple(crossing)])
     curves = tuple(Curve(n, basis_class(lat, n), "other") for n in labels)
     base = SurfaceModel(
         lat,
         zero_class(lat),  # K is 2-torsion: numerically trivial
         1,
         curves,
-        (tuple(names1), tuple(names2)),
-        (germ1, germ2),
+        tuple(groups),
+        tuple(germs),
     )
-    return blowup(base, {cross1: 1, cross2: 1}, "C")
+    return blowup(base, {c: 1 for c in crossing}, "C")
 
 
 def _build_rat22(shape1, shape2) -> SurfaceModel:
@@ -370,23 +337,28 @@ def _build_rat22(shape1, shape2) -> SurfaceModel:
     germ1 = _shape_germ(shape1, 2)
     germ2 = _shape_germ(shape2, 2)
     if shape1 in IRREDUCIBLE_SHAPES:
-        names1, diag1 = ["A1"], {"A1": 2}
-        pairs1: dict[tuple[str, str], int] = {}
-        mults1 = {"A1": 2}
+        names1, diag1, edges1, mults1 = ["A1"], [2], [], {"A1": 2}
     else:
-        names1, diag1, pairs1, mults1 = _anticanonical_cycle_block(germ1, "A")
-    names2, diag2, pairs2, contact2 = _final_cycle_block(germ2, "B")
-
-    labels = names1 + names2 + ["C2"]
-    diag = {**diag1, **diag2, "C2": 0}
-    pairs = {**pairs1, **pairs2}
+        names1 = [f"A{i+1}" for i in range(len(germ1.data))]
+        diag1, edges1, mults1 = _anticanonical_cycle(germ1, names1)
+    # D_2 is declared in its final shape
+    es2 = germ2.data
+    names2 = [f"B{i+1}" for i in range(len(es2))]
+    edges2, marked2 = _cycle(germ2, names2)
     # the curve contracting to the symmetric blowdown passes through the
     # blown-up point of D_1 and meets D_2 with total multiplicity 2
-    for n, mu in mults1.items():
-        pairs[("C2", n)] = pairs.get(("C2", n), 0) + mu
-    for n, c in contact2.items():
-        pairs[("C2", n)] = pairs.get(("C2", n), 0) + c
-    lat = _assemble(labels, diag, pairs)
+    if len(es2) == 1:
+        contact2 = {names2[0]: es2[0]}
+    else:
+        contact2 = {names2[i]: es2[i] - 2 for i in marked2}
+    c2_edges = [
+        ("C2", n) for n, mu in {**mults1, **contact2}.items() for _ in range(mu)
+    ]
+
+    labels = names1 + names2 + ["C2"]
+    lat = graph_lattice(
+        labels, diag1 + [-e for e in es2] + [0], edges1 + edges2 + c2_edges
+    )
     K = zero_class(lat)
     for n in names2:
         K = K - basis_class(lat, n)
@@ -403,70 +375,54 @@ def _build_rat22(shape1, shape2) -> SurfaceModel:
     return blowup(base, {**mults1, "C2": 1}, "C1")
 
 
-def _rat21_fiber_block(shape):
-    """Multiplicity-2 fiber divisor data for the (2,1) rational model."""
-    germ = _shape_germ(shape, 2)
-    if shape in IRREDUCIBLE_SHAPES:
-        return germ, ["G"], None, None, [("G", 1), ("G", 1)]
-    es, marked = _cycle_positions(germ)
-    names = [f"G{i+1}" for i in range(len(es))]
-    diag = {n: -2 for n in names}
-    if len(marked) == 1:  # type (4,2,...): both blowup points on one component
-        points = [(names[marked[0]], 1), (names[marked[0]], 1)]
-    else:  # type (3,2^a,3,2^b): one point on each distinguished component
-        points = [(names[marked[0]], 1), (names[marked[1]], 1)]
-    return germ, names, diag, _cycle_pairs(names), points
-
-
-def _rat21_bisection_block(shape):
-    germ = _shape_germ(shape, 1)
-    if shape in IRREDUCIBLE_SHAPES:
-        return germ, ["Gam"], None, None, "Gam"
-    es, marked = _cycle_positions(germ)
-    if len(marked) != 1 or es[marked[0]] != 3:
-        raise BuilderError(
-            "a multiplicity-1 bisection cycle is the type (3,2,..,2)"
-        )
-    names = ["B"] + [f"T{i}" for i in range(1, len(es))]
-    # the bisection component B carries both blowup points: -1 becomes -3
-    diag = {"B": -1, **{n: -2 for n in names[1:]}}
-    return germ, names, diag, _cycle_pairs(names), "B"
-
-
 def _build_rat21(shape1, shape2) -> SurfaceModel:
-    germ1, fnames, fdiag, fpairs, points = _rat21_fiber_block(shape1)
-    germ2, bnames, bdiag, bpairs, bis = _rat21_bisection_block(shape2)
+    germ1 = _shape_germ(shape1, 2)
+    germ2 = _shape_germ(shape2, 1)
+    labels, diag, edges = ["F", "E"], [0, -1], [("F", "E")]
 
-    labels = ["F", "E"] + ([] if fnames == ["G"] else fnames) + (
-        [] if bnames == ["Gam"] else bnames
-    )
-    diag = {"F": 0, "E": -1}
-    pairs: dict[tuple[str, str], int] = {("F", "E"): 1}
-    if fdiag:
-        diag.update(fdiag)
-        pairs.update(fpairs)
-        for name, mu in points:
-            pairs[("E", name)] = pairs.get(("E", name), 0) + mu
-    if bdiag:
-        diag.update(bdiag)
-        pairs.update(bpairs)
-        pairs[("B", "F")] = 1
-        if fdiag:
-            for name, mu in points:
-                pairs[("B", name)] = pairs.get(("B", name), 0) + mu
-    lat = _assemble(labels, diag, pairs)
+    fiber_reducible = shape1 not in IRREDUCIBLE_SHAPES
+    if fiber_reducible:
+        fnames = [f"G{i+1}" for i in range(len(germ1.data))]
+        fedges, marked = _cycle(germ1, fnames)
+        if len(marked) == 1:  # type (4,2,..): both points on one component
+            points = [fnames[marked[0]]] * 2
+        else:  # type (3,2^a,3,2^b): one point on each distinguished component
+            points = [fnames[marked[0]], fnames[marked[1]]]
+        labels += fnames
+        diag += [-2] * len(fnames)
+        edges += fedges + [("E", p) for p in points]
+    else:
+        fnames, points = ["G"], ["G", "G"]
+
+    if shape2 in IRREDUCIBLE_SHAPES:
+        bnames, bis = ["Gam"], "Gam"
+    else:
+        bnames = ["B"] + [f"T{i}" for i in range(1, len(germ2.data))]
+        bedges, marked = _cycle(germ2, bnames)
+        if len(marked) != 1 or germ2.data[marked[0]] != 3:
+            raise BuilderError(
+                "a multiplicity-1 bisection cycle is the type (3,2,..,2)"
+            )
+        # the bisection component B carries both blowup points: -1 becomes -3
+        bis = "B"
+        labels += bnames
+        diag += [-1] + [-2] * (len(bnames) - 1)
+        edges += bedges + [("B", "F")]
+        if fiber_reducible:
+            edges += [("B", p) for p in points]
+    lat = graph_lattice(labels, diag, edges)
 
     curves = [
         Curve("F", basis_class(lat, "F"), "fiber-component"),
         Curve("E", basis_class(lat, "E"), "bisection"),
     ]
-    if fnames == ["G"]:
-        curves.append(Curve("G", 2 * basis_class(lat, "F"), "fiber-component"))
-    else:
+    if fiber_reducible:
         curves += [
             Curve(n, basis_class(lat, n), "fiber-component") for n in fnames
         ]
-    if bnames == ["Gam"]:
+    else:
+        curves.append(Curve("G", 2 * basis_class(lat, "F"), "fiber-component"))
+    if shape2 in IRREDUCIBLE_SHAPES:
         curves.append(
             Curve(
                 "Gam",
@@ -488,8 +444,8 @@ def _build_rat21(shape1, shape2) -> SurfaceModel:
         (tuple(fnames), tuple(bnames)),
         (germ1, germ2),
     )
-    surf = blowup(base, {points[0][0]: points[0][1], bis: 1}, "C1")
-    surf = blowup(surf, {points[1][0]: points[1][1], bis: 1}, "C2")
+    surf = blowup(base, {points[0]: 1, bis: 1}, "C1")
+    surf = blowup(surf, {points[1]: 1, bis: 1}, "C2")
     return surf
 
 
@@ -758,9 +714,10 @@ def verify_I_surface(surf: SurfaceModel) -> Report:
             rep.add(f"D{i+1}.germ", "cusp cycle matches its type", expected, got)
         irreducible = len(surf.divisor_groups[i]) == 1
         for name in surf.divisor_groups[i]:
-            c = surf.curve_class(name)
-            two_pa = c.square + pair(surf.K, c)
-            pa = 1 + two_pa // 2 if two_pa % 2 == 0 else None
+            try:
+                pa = adjunction_genus(surf.curve_class(name), surf)
+            except ModelError:
+                pa = None
             rep.add(
                 f"pa.{name}",
                 "adjunction on components",
@@ -886,10 +843,10 @@ def build_double_cover(N: int, k: int) -> DoubleCoverModel:
         raise BuilderError("N must be at least 1")
     if k < 2 * N:
         raise BuilderError("the branch class needs k >= 2N")
-    lat = _assemble(
+    lat = graph_lattice(
         ("sigma0", "f", "e", "d2"),
-        {"sigma0": -N, "f": 0, "e": -1, "d2": -2},
-        {("sigma0", "f"): 1, ("sigma0", "d2"): 1, ("e", "d2"): 1},
+        (-N, 0, -1, -2),
+        [("sigma0", "f"), ("sigma0", "d2"), ("e", "d2")],
     )
     sigma0 = basis_class(lat, "sigma0")
     f = basis_class(lat, "f")

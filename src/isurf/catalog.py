@@ -2,13 +2,12 @@
 keyed by the statement label it reproduces.
 
 Each entry recomputes its value from scratch through the public
-operations; nothing is cached between entries, so the catalog can run
-concurrently and still assemble a deterministic report.
+operations; nothing is cached between entries, so an entry's value does
+not depend on which other entries run or in what order.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Callable
@@ -119,11 +118,12 @@ def build_catalog() -> list[CatalogCheck]:
         "Thm 2.11(ii): L = F + D has L^2 = 1",
         lambda: (1, build_stratum("1").L.square),
     )
-    add(
-        "thm2.11iii.C.D",
-        "Thm 2.11(iii): C.D = 2 on the blown-up K3",
-        lambda: (2, pair(build_stratum("2").K, build_stratum("2").group_class(0))),
-    )
+
+    def _k3_cd():
+        surf = build_stratum("2")
+        return 2, pair(surf.K, surf.group_class(0))
+
+    add("thm2.11iii.C.D", "Thm 2.11(iii): C.D = 2 on the blown-up K3", _k3_cd)
 
     def _pair13():
         dc = build_double_cover(1, 3)
@@ -380,17 +380,15 @@ def build_catalog() -> list[CatalogCheck]:
         "every curated edge is rule-derivable",
         lambda: (True, all(e.derivable for e in build_strata_graph().paper_edges())),
     )
-    add(
-        "strata.shape",
-        "nine strata, no self-loops",
-        lambda: (
-            (9, 0),
-            (
-                len(build_strata_graph().nodes),
-                sum(1 for e in build_strata_graph().edges if e.src == e.dst),
-            ),
-        ),
-    )
+
+    def _strata_shape():
+        graph = build_strata_graph()
+        return (9, 0), (
+            len(graph.nodes),
+            sum(1 for e in graph.edges if e.src == e.dst),
+        )
+
+    add("strata.shape", "nine strata, no self-loops", _strata_shape)
 
     # -- stratum models --------------------------------------------------------
     for key, opts in all_builder_variants():
@@ -488,13 +486,8 @@ def build_catalog() -> list[CatalogCheck]:
     )
 
     def _x0_numerology():
-        # the two-multiple-fiber ruled surface: Num = Z.s + Z.f, s^2 = 0
-        from isurf.lattice import from_rows
-        from isurf.divisors import DivisorClass, SurfaceModel
-
-        lat = from_rows(["s", "f"], [[0, 1], [1, 0]])
-        x0 = SurfaceModel(lat, DivisorClass(lat, (-2, 0)), 0, ())
-        s = basis_class(lat, "s")
+        x0 = builders.two_double_fiber_ruled_surface()
+        s = x0.curve_class("s")
         phi = 2 * s  # general fiber of the elliptic pencil
         return (
             (0, 0, 1, 2),
@@ -502,7 +495,7 @@ def build_catalog() -> list[CatalogCheck]:
                 s.square,
                 pair(x0.K, s),
                 adjunction_genus(phi, x0),
-                pair(phi, basis_class(lat, "f")),
+                pair(phi, x0.curve_class("f")),
             ),
         )
 
@@ -515,12 +508,8 @@ def build_catalog() -> list[CatalogCheck]:
     def _kformula_matches_ruling(mult_count):
         # the multiple-fiber formula must reproduce the ruled-surface K
         if mult_count == 2:
-            from isurf.lattice import from_rows
-            from isurf.divisors import DivisorClass, SurfaceModel
-
-            lat = from_rows(["s", "f"], [[0, 1], [1, 0]])
-            surf = SurfaceModel(lat, DivisorClass(lat, (-2, 0)), 0, ())
-            reduced = basis_class(lat, "s")
+            surf = builders.two_double_fiber_ruled_surface()
+            reduced = surf.curve_class("s")
         else:
             surf = builders.elliptic_ruled_surface()
             reduced = 2 * surf.curve_class("sig") - surf.curve_class("f")
@@ -556,16 +545,14 @@ def build_catalog() -> list[CatalogCheck]:
             canonical_bundle_coeffs(FibrationData(0, 0, (2, 2, 2))).kodaira_indicator,
         ),
     )
+    def _kformula_trivial():
+        cb = canonical_bundle_coeffs(FibrationData(1, 0))
+        return (0, ()), (cb.fiber_coeff, cb.multiple_fiber_coeffs)
+
     add(
         "kformula.trivial",
         "g = 1, chi = 0, no multiple fibers: K trivial on fibers",
-        lambda: (
-            (0, ()),
-            (
-                canonical_bundle_coeffs(FibrationData(1, 0)).fiber_coeff,
-                canonical_bundle_coeffs(FibrationData(1, 0)).multiple_fiber_coeffs,
-            ),
-        ),
+        _kformula_trivial,
     )
 
     # -- c2 length counts --------------------------------------------------------
@@ -574,40 +561,40 @@ def build_catalog() -> list[CatalogCheck]:
     add("thm3.2.lw.pg1.r4", "Thm 3.2: l(W) = 25 - r = 21 at r = 4", lambda: (21, c2_length_counts(1, 4)[1]))
 
     # -- double cover numerology ---------------------------------------------
-    def _dc(n, k):
-        return build_double_cover(n, k)
+    def _b_f_e():
+        dc = build_double_cover(1, 3)
+        return (4, 4), (
+            pair(dc.B, dc.base.curve_class("f")),
+            pair(dc.B, dc.base.curve_class("e")),
+        )
 
-    add(
-        "sec3.2.B.f.e",
-        "sec 3.2: B.f = B.e = 4",
-        lambda: (
-            (4, 4),
-            (
-                pair(_dc(1, 3).B, _dc(1, 3).base.curve_class("f")),
-                pair(_dc(1, 3).B, _dc(1, 3).base.curve_class("e")),
-            ),
-        ),
-    )
-    add(
-        "sec3.2.B.sigma0",
-        "sec 3.2: B.sigma0 = -4N + 2k + 2",
-        lambda: (4, pair(_dc(1, 3).B, _dc(1, 3).base.curve_class("sigma0"))),
-    )
-    add(
-        "sec3.2.B0.n1k3",
-        "sec 3.2: B0 = 4 sigma0 + 5f + 2 d2 at N = 1, k = 3",
-        lambda: (
-            tuple(combo(_dc(1, 3).base.lattice, sigma0=4, f=5, d2=2).coeffs),
-            tuple(_dc(1, 3).B0.coeffs),
-        ),
-    )
-    add("sec3.2.pg.n1k3", "sec 3.2: p_g = k - N - 1 = 1", lambda: (1, _dc(1, 3).p_g))
-    add("sec3.2.sigma.n1k3", "sec 3.2: Sigma^2 = -1", lambda: (-1, _dc(1, 3).sigma_sq))
-    add("sec3.2.sigma.n2k4", "sec 3.2: N = 2, k = 4: Sigma^2 = -3, p_a = 0",
-        lambda: ((-3, 0), (_dc(2, 4).sigma_sq, _dc(2, 4).pa_sigma)))
+    add("sec3.2.B.f.e", "sec 3.2: B.f = B.e = 4", _b_f_e)
+
+    def _b_sigma0():
+        dc = build_double_cover(1, 3)
+        return 4, pair(dc.B, dc.base.curve_class("sigma0"))
+
+    add("sec3.2.B.sigma0", "sec 3.2: B.sigma0 = -4N + 2k + 2", _b_sigma0)
+
+    def _b0_n1k3():
+        dc = build_double_cover(1, 3)
+        return (
+            tuple(combo(dc.base.lattice, sigma0=4, f=5, d2=2).coeffs),
+            tuple(dc.B0.coeffs),
+        )
+
+    add("sec3.2.B0.n1k3", "sec 3.2: B0 = 4 sigma0 + 5f + 2 d2 at N = 1, k = 3", _b0_n1k3)
+    add("sec3.2.pg.n1k3", "sec 3.2: p_g = k - N - 1 = 1", lambda: (1, build_double_cover(1, 3).p_g))
+    add("sec3.2.sigma.n1k3", "sec 3.2: Sigma^2 = -1", lambda: (-1, build_double_cover(1, 3).sigma_sq))
+
+    def _sigma_n2k4():
+        dc = build_double_cover(2, 4)
+        return (-3, 0), (dc.sigma_sq, dc.pa_sigma)
+
+    add("sec3.2.sigma.n2k4", "sec 3.2: N = 2, k = 4: Sigma^2 = -3, p_a = 0", _sigma_n2k4)
 
     def _d1_derived():
-        dc = _dc(1, 3)
+        dc = build_double_cover(1, 3)
         d1 = dc.base.curve_class("d1")
         d2 = dc.base.curve_class("d2")
         e = dc.base.curve_class("e")
@@ -616,7 +603,7 @@ def build_catalog() -> list[CatalogCheck]:
     add("sec3.2.d1.derived", "d1 = f - 2e - d2: squares and pairings", _d1_derived)
 
     def _k_plus_half(n, k):
-        dc = _dc(n, k)
+        dc = build_double_cover(n, k)
         want = combo(dc.base.lattice, f=k - n - 1, e=-1)
         return tuple(want.coeffs), tuple((dc.base.K + dc.half_branch()).coeffs)
 
@@ -624,7 +611,7 @@ def build_catalog() -> list[CatalogCheck]:
     add("sec3.2.K.halfB.n3k7", "sec 3.2: K + B/2 = (k-N-1)f - e", lambda: _k_plus_half(3, 7))
 
     def _cover_rules():
-        dc = _dc(2, 5)
+        dc = build_double_cover(2, 5)
         return (-1, -1, -4, 0), (
             cover_pairing(dc.e_curve(1), dc.e_curve(1), dc),
             cover_pairing(dc.e_curve(2), dc.e_curve(2), dc),
@@ -645,21 +632,20 @@ def build_catalog() -> list[CatalogCheck]:
     return checks
 
 
-def run_catalog(only: str | None = None, workers: int = 8) -> Report:
+def select_checks(only: str | None = None) -> list[CatalogCheck]:
+    """The catalog entries whose id contains `only` (all when None), in
+    catalog order."""
+    return [c for c in build_catalog() if only is None or only in c.check_id]
+
+
+def run_catalog(only: str | None = None) -> Report:
     """Execute the catalog (optionally the subset whose id contains
     `only`) and assemble a report ordered by check id."""
-    selected = [
-        c for c in build_catalog() if only is None or only in c.check_id
-    ]
-
-    def run_one(check: CatalogCheck) -> CheckEntry:
+    entries = []
+    for check in select_checks(only):
         try:
             expected, computed = check.run()
         except Exception as exc:  # a crash is a failed check, not a crash
             expected, computed = "no error", f"{type(exc).__name__}: {exc}"
-        return CheckEntry(check.check_id, check.source, expected, computed)
-
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        entries = list(pool.map(run_one, selected))
-    report = Report(entries)
-    return report.sorted()
+        entries.append(CheckEntry(check.check_id, check.source, expected, computed))
+    return Report(entries).sorted()

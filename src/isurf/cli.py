@@ -13,7 +13,7 @@ from typing import Any
 
 from .adjacency import build_strata_graph, is_adjacent
 from .builders import build_stratum, verify_I_surface
-from .catalog import build_catalog, run_catalog
+from .catalog import run_catalog, select_checks
 from .divisors import (
     DivisorClass,
     SurfaceModel,
@@ -128,6 +128,11 @@ def _run_check(spec: dict, surfaces: list[SurfaceModel], index: int, report: Rep
             class_expressions_agree(a, b, surf),
         )
     elif kind == "signature":
+        expected = spec.get("expected", [])
+        if not isinstance(expected, list):
+            raise ConfigError(
+                f"{where}: expected must be a list [positive, negative, null]"
+            )
         lat_spec = spec.get("lattice")
         lat = (
             IntersectionLattice.from_json(lat_spec)
@@ -137,7 +142,7 @@ def _run_check(spec: dict, surfaces: list[SurfaceModel], index: int, report: Rep
         report.add(
             cid,
             "signature",
-            tuple(spec.get("expected", [])),
+            tuple(expected),
             signature(lat).as_tuple(),
         )
     else:
@@ -183,14 +188,17 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def cmd_replicate(args: argparse.Namespace) -> int:
     if args.list:
-        for check in build_catalog():
-            if args.only is None or args.only in check.check_id:
-                print(f"{check.check_id}  [{check.source}]")
-        return 0
-    report = run_catalog(only=args.only)
-    if not report.entries:
+        selected = select_checks(args.only)
+    else:
+        report = run_catalog(only=args.only)
+        selected = report.entries
+    if not selected:
         print(f"error: no catalog entry matches {args.only!r}", file=sys.stderr)
         return 2
+    if args.list:
+        for check in selected:
+            print(f"{check.check_id}  [{check.source}]")
+        return 0
     if args.json:
         sys.stdout.write(report.dumps())
     else:

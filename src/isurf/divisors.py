@@ -196,12 +196,11 @@ class SurfaceModel:
                 problems.append(f"group {i} is not connected in the dual graph")
             irreducible = len(group) == 1
             for name in group:
-                c = self.curve_class(name)
-                two_pa = c.square + pair(self.K, c)
-                if two_pa % 2 != 0:
+                try:
+                    pa = adjunction_genus(self.curve_class(name), self)
+                except ModelError:
                     problems.append(f"adjunction parity fails for {name}")
                     continue
-                pa = 1 + two_pa // 2
                 if pa not in (0, 1) or (pa == 1) != irreducible:
                     problems.append(
                         f"component {name} has arithmetic genus {pa}"

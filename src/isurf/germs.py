@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .errors import GermError, UnsupportedGermError
-from .lattice import IntersectionLattice, _cycle_gram
+from .lattice import IntersectionLattice, cycle_edges, graph_lattice
 
 SIMPLE_ELLIPTIC = "simple_elliptic"
 CUSP = "cusp"
@@ -121,15 +121,11 @@ def resolution_lattice(g: SingularityGerm) -> IntersectionLattice:
     the rank-one lattice [-m].
     """
     if g.kind == SIMPLE_ELLIPTIC:
-        return IntersectionLattice(("D",), ((-g.data[0],),))
+        return graph_lattice(("D",), (-g.data[0],), ())
     if g.kind != CUSP:
         raise UnsupportedGermError(f"no resolution lattice for {g.kind} germ")
-    es = g.data
-    if len(es) == 1:
-        return IntersectionLattice(("E1",), ((-es[0],),))
-    rows = _cycle_gram([-e for e in es])
-    labels = tuple(f"E{i+1}" for i in range(len(es)))
-    return IntersectionLattice(labels, tuple(tuple(r) for r in rows))
+    labels = [f"E{i+1}" for i in range(len(g.data))]
+    return graph_lattice(labels, [-e for e in g.data], cycle_edges(labels))
 
 
 def enumerate_types(max_mult: int, max_length: int) -> list[SingularityGerm]:

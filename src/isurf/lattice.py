@@ -177,22 +177,47 @@ def is_negative_definite(lat: IntersectionLattice) -> bool:
     return sig.positive == 0 and sig.null == 0
 
 
-def _cycle_gram(diagonal: Sequence[int]) -> list[list[int]]:
-    """Gram matrix of a cycle graph with the given diagonal.
+def cycle_edges(labels: Sequence[str]) -> list[tuple[str, str]]:
+    """Edges of the cycle labels[0] - labels[1] - ... - labels[-1] - labels[0].
 
-    Adjacency contributions accumulate, so a 2-cycle gets off-diagonal
-    entry 2 (its two vertices meet twice).
+    A 2-cycle lists its pair twice (the two curves meet in two points);
+    a single vertex has none (a nodal curve's node is counted in its
+    square).
     """
-    n = len(diagonal)
+    n = len(labels)
+    if n < 2:
+        return []
+    return [(labels[i], labels[(i + 1) % n]) for i in range(n)]
+
+
+def graph_lattice(
+    labels: Sequence[str],
+    diagonal: Sequence[int],
+    edges: Iterable[tuple[str, str]],
+) -> IntersectionLattice:
+    """Intersection matrix of a labeled dual graph.
+
+    `diagonal[i]` is the square of `labels[i]`. Each edge (a, b) adds 1
+    to a.b, so an edge listed twice pairs with 2. Self-edges are
+    rejected: squares come from the diagonal.
+    """
+    labels = tuple(labels)
+    n = len(labels)
+    if len(diagonal) != n:
+        raise LatticeError("diagonal length does not match basis size")
+    index = {name: i for i, name in enumerate(labels)}
     g = [[0] * n for _ in range(n)]
     for i, d in enumerate(diagonal):
         g[i][i] = d
-    if n >= 2:
-        for i in range(n):
-            j = (i + 1) % n
-            g[i][j] += 1
-            g[j][i] += 1
-    return g
+    for a, b in edges:
+        if a not in index or b not in index:
+            raise LatticeError(f"edge ({a!r}, {b!r}) names an unknown label")
+        i, j = index[a], index[b]
+        if i == j:
+            raise LatticeError(f"self-edge at {a!r}: squares come from the diagonal")
+        g[i][j] += 1
+        g[j][i] += 1
+    return IntersectionLattice(labels, tuple(tuple(r) for r in g))
 
 
 def make_named_lattice(
@@ -216,51 +241,25 @@ def make_named_lattice(
     if family == "Lambda0":
         if m is not None:
             raise LatticeError("Lambda0 takes no second parameter")
-        labels = tuple(f"e{i}" for i in range(n + 1))
-        g = _cycle_gram([0] + [-2] * n)
-        return IntersectionLattice(labels, tuple(tuple(r) for r in g)).scaled(scale)
+        labels = [f"e{i}" for i in range(n + 1)]
+        return graph_lattice(labels, [0] + [-2] * n, cycle_edges(labels)).scaled(scale)
     if family not in ("Lambda1", "Lambda2"):
         raise LatticeError(f"unknown lattice family {family!r}")
     if m is None or m < 1:
         raise LatticeError(f"{family} needs m >= 1")
     if family == "Lambda1":
-        labels = (
-            tuple(f"e{i}" for i in range(1, n + 1))
-            + tuple(f"f{i}" for i in range(1, m + 1))
-            + ("g1", "g2")
-        )
-        size = n + m + 2
-        g = [[0] * size for _ in range(size)]
-        for i in range(size):
-            g[i][i] = -2
-        def link(a: int, b: int) -> None:
-            g[a][b] += 1
-            g[b][a] += 1
-        for i in range(n - 1):
-            link(i, i + 1)
-        for i in range(m - 1):
-            link(n + i, n + i + 1)
-        g1, g2 = size - 2, size - 1
-        link(0, g1)          # e1.g1
-        link(n, g1)          # f1.g1
-        link(n - 1, g2)      # en.g2
-        link(n + m - 1, g2)  # fm.g2
-        link(g1, g2)
-        return IntersectionLattice(labels, tuple(tuple(r) for r in g)).scaled(scale)
-    # Lambda2
-    labels = tuple(f"e{i}" for i in range(n + 1)) + tuple(
-        f"f{i}" for i in range(m + 1)
-    )
-    size = n + m + 2
-    g = [[0] * size for _ in range(size)]
-    ecyc = _cycle_gram([-2] * (n + 1))
-    fcyc = _cycle_gram([-2] * (m + 1))
-    for i in range(n + 1):
-        for j in range(n + 1):
-            g[i][j] = ecyc[i][j]
-    for i in range(m + 1):
-        for j in range(m + 1):
-            g[n + 1 + i][n + 1 + j] = fcyc[i][j]
-    g[0][n + 1] += 1
-    g[n + 1][0] += 1
-    return IntersectionLattice(labels, tuple(tuple(r) for r in g)).scaled(scale)
+        es = [f"e{i}" for i in range(1, n + 1)]
+        fs = [f"f{i}" for i in range(1, m + 1)]
+        edges = list(zip(es, es[1:])) + list(zip(fs, fs[1:])) + [
+            (es[0], "g1"),
+            (fs[0], "g1"),
+            (es[-1], "g2"),
+            (fs[-1], "g2"),
+            ("g1", "g2"),
+        ]
+        labels = es + fs + ["g1", "g2"]
+        return graph_lattice(labels, [-2] * len(labels), edges).scaled(scale)
+    es = [f"e{i}" for i in range(n + 1)]
+    fs = [f"f{i}" for i in range(m + 1)]
+    edges = cycle_edges(es) + cycle_edges(fs) + [("e0", "f0")]
+    return graph_lattice(es + fs, [-2] * (n + m + 2), edges).scaled(scale)

@@ -127,6 +127,19 @@ class TestVerify:
         res = run_cli("verify", cfg)
         assert res.returncode == 2
 
+    def test_signature_expected_not_a_list_exits_2(self, tmp_path):
+        cfg = write_config(
+            tmp_path,
+            {
+                "surfaces": [{"builder": "1"}],
+                "checks": [{"check": "signature", "expected": 5}],
+            },
+        )
+        res = run_cli("verify", cfg)
+        assert res.returncode == 2
+        assert res.stderr.startswith("error:") and res.stderr.count("\n") == 1
+        assert "Traceback" not in res.stderr
+
     def test_bad_builder_option_exits_2(self, tmp_path):
         cfg = write_config(
             tmp_path,
@@ -161,6 +174,10 @@ class TestReplicate:
     def test_only_no_match_exits_2(self):
         res = run_cli("replicate-paper", "--only", "thm99.9")
         assert res.returncode == 2
+        listed = run_cli("replicate-paper", "--list", "--only", "thm99.9")
+        assert listed.returncode == 2
+        assert listed.stdout == ""
+        assert listed.stderr.startswith("error:")
 
     def test_list_does_not_execute(self):
         res = run_cli("replicate-paper", "--list")

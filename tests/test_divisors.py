@@ -80,6 +80,22 @@ class TestAdjunction:
         with pytest.raises(ModelError):
             adjunction_genus(basis_class(surf.lattice, "v0"), surf)
 
+    def test_parity_violation_reported_by_model_checks(self):
+        lat = from_rows(["v0"], [[-1]])
+        surf = SurfaceModel(
+            lat,
+            zero_class(lat),
+            2,
+            (Curve("D", basis_class(lat, "v0"), "other"),),
+            (("D",),),
+            (simple_elliptic(1),),
+        )
+        assert surf.validate() == ["adjunction parity fails for D"]
+        (entry,) = [
+            e for e in builders.verify_I_surface(surf).entries if e.check_id == "pa.D"
+        ]
+        assert (entry.expected, entry.computed) == (1, None)
+
 
 class TestRiemannRoch:
     def test_chi_of_zero(self):

@@ -8,7 +8,9 @@ from isurf.lattice import (
     EMPTY_LATTICE,
     IntersectionLattice,
     Signature,
+    cycle_edges,
     from_rows,
+    graph_lattice,
     is_negative_definite,
     make_named_lattice,
     signature,
@@ -181,6 +183,32 @@ class TestNamedLattices:
     def test_bad_requests(self, family, n, m):
         with pytest.raises(LatticeError):
             make_named_lattice(family, n, m)
+
+
+class TestGraphLattice:
+    def test_repeated_edges_accumulate(self):
+        lat = graph_lattice(["a", "b"], [-3, -3], [("a", "b"), ("b", "a"), ("a", "b")])
+        assert lat.gram == ((-3, 3), (3, -3))
+
+    def test_two_cycle_pairs_with_two(self):
+        assert cycle_edges(["a", "b"]) == [("a", "b"), ("b", "a")]
+        assert graph_lattice(["a", "b"], [-3, -3], cycle_edges(["a", "b"])).gram == (
+            (-3, 2),
+            (2, -3),
+        )
+        assert cycle_edges(["a"]) == []
+
+    def test_unknown_label_rejected(self):
+        with pytest.raises(LatticeError, match="unknown label"):
+            graph_lattice(["a", "b"], [0, 0], [("a", "c")])
+
+    def test_self_edge_rejected(self):
+        with pytest.raises(LatticeError, match="self-edge"):
+            graph_lattice(["a", "b"], [0, 0], [("a", "a")])
+
+    def test_diagonal_length_mismatch(self):
+        with pytest.raises(LatticeError):
+            graph_lattice(["a", "b"], [0], [])
 
 
 class TestValidation:
