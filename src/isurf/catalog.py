@@ -15,6 +15,7 @@ from typing import Any, Callable
 from . import builders
 from .adjacency import build_strata_graph, direct_adjacencies, is_adjacent
 from .builders import (
+    VANISHING_BOUNDS,
     FibrationData,
     all_builder_variants,
     build_double_cover,
@@ -22,7 +23,6 @@ from .builders import (
     c2_length_counts,
     canonical_bundle_coeffs,
     cover_pairing,
-    vanishing_bound_checks,
     verify_I_surface,
 )
 from .divisors import (
@@ -622,11 +622,11 @@ def build_catalog() -> list[CatalogCheck]:
     add("sec3.2.cover.rules", "nu* doubles pairings: e_i^2 = -1, Sigma~^2 = -2N", _cover_rules)
 
     # -- vanishing bounds --------------------------------------------------------
-    for entry in vanishing_bound_checks().entries:
+    for check_id, source, expected, statement in VANISHING_BOUNDS:
         add(
-            entry.check_id,
-            entry.source,
-            lambda e=entry: (e.expected, e.computed),
+            check_id,
+            source,
+            lambda c=check_id, e=expected, s=statement: (e, s()[c]),
         )
 
     return checks

@@ -56,7 +56,9 @@ def _resolve_class(surf: SurfaceModel, spec: Any, where: str) -> DivisorClass:
     if isinstance(spec, list):
         if len(spec) != surf.lattice.rank:
             raise ConfigError(f"{where}: vector length != lattice rank")
-        return DivisorClass(surf.lattice, tuple(int(x) for x in spec))
+        if not all(isinstance(x, int) and not isinstance(x, bool) for x in spec):
+            raise ConfigError(f"{where}: vector entries must be integers, got {spec!r}")
+        return DivisorClass(surf.lattice, tuple(spec))
     if not isinstance(spec, str):
         raise ConfigError(f"{where}: bad divisor spec {spec!r}")
     if spec == "K":
@@ -172,12 +174,19 @@ def cmd_verify(args: argparse.Namespace) -> int:
         for i, check in enumerate(config.get("checks", [])):
             _run_check(check, surfaces, i, report)
         report = report.sorted()
-        if config.get("dot_path"):
-            with open(config["dot_path"], "w", encoding="utf-8") as fh:
-                fh.write(build_strata_graph().to_dot())
+        dot_path = config.get("dot_path")
+        if dot_path and not isinstance(dot_path, str):
+            raise ConfigError("dot_path must be a string")
     except IsurfError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    if dot_path:
+        try:
+            with open(dot_path, "w", encoding="utf-8") as fh:
+                fh.write(build_strata_graph().to_dot())
+        except OSError as exc:
+            print(f"error: cannot write dot_path: {exc}", file=sys.stderr)
+            return 2
     out = config.get("output", "text")
     if out == "json":
         sys.stdout.write(report.dumps())

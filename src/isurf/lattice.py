@@ -1,15 +1,14 @@
 """Finitely generated lattices with integer symmetric bilinear forms.
 
-Everything here is exact: inertia is computed by symmetric Gaussian
-elimination over `fractions.Fraction`, never floating point, so
-definiteness answers are proofs rather than approximations.
+Everything here is exact: inertia is computed by fraction-free
+symmetric Gaussian elimination over `int` (Bareiss), never floating
+point, so definiteness answers are proofs rather than approximations.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .errors import LatticeError
@@ -120,32 +119,56 @@ EMPTY_LATTICE = IntersectionLattice((), ())
 def signature(lat: IntersectionLattice, rng=None) -> Signature:
     """Exact inertia of the bilinear form.
 
-    Symmetric elimination with symmetric pivoting over Fraction. A zero
-    diagonal with some nonzero off-diagonal entry is handled as a
-    hyperbolic 2x2 block contributing (1, 1, 0); a fully zero row joins
-    the radical. `rng`, when given, randomizes admissible pivot choices
-    (the result is pivot-order independent; tests exercise this).
+    Fraction-free symmetric elimination (Bareiss) over `int`, with
+    symmetric pivoting. After pivoting on an index set E, `prev` is the
+    pivot minor det G[E, E], and the active part of row i holds
+    `scale[i] * S[i]`, where S is the Schur complement of G[E, E] and
+    `scale[i]` the pivot minor at the row's last update. Every division
+    is exact: `prev * S[i][j]` is a minor of G (Sylvester's determinant
+    identity). A row with S[i][p] = 0 is unchanged by pivot p, so it is
+    skipped and keeps its scale.
+
+    A diagonal pivot is positive iff its minor has the sign of `prev`.
+    When every active diagonal vanishes, a nonzero off-diagonal entry is
+    eliminated as a hyperbolic 2x2 block contributing (1, 1, 0); a fully
+    zero remainder joins the radical. `rng`, when given, randomizes
+    admissible pivot choices (the result is pivot-order independent;
+    tests exercise this).
     """
-    m = [[Fraction(x) for x in row] for row in lat.gram]
+    m = [list(row) for row in lat.gram]
+    scale = [1] * lat.rank
+    prev = 1
     active = list(range(lat.rank))
     pos = neg = null = 0
+
+    def at_prev(i: int) -> list[int]:
+        """The active entries of row i, brought to scale `prev`."""
+        row, s = m[i], scale[i]
+        if s == prev:
+            return [row[j] for j in active]
+        return [row[j] * prev // s for j in active]
+
     while active:
         diag = [i for i in active if m[i][i] != 0]
         if diag:
             p = rng.choice(diag) if rng is not None else diag[0]
-            d = m[p][p]
-            if d > 0:
+            d = m[p][p] * prev // scale[p]
+            if (d > 0) == (prev > 0):
                 pos += 1
             else:
                 neg += 1
             active.remove(p)
+            rp = at_prev(p)
             for i in active:
-                c = m[i][p]
+                ri = m[i]
+                c = ri[p]
                 if c == 0:
                     continue
-                f = c / d
-                for j in active:
-                    m[i][j] -= f * m[p][j]
+                s = scale[i]
+                for j, x in zip(active, rp):
+                    ri[j] = (d * ri[j] - c * x) // s
+                scale[i] = d
+            prev = d
             continue
         # every active diagonal vanishes
         pairs = [
@@ -158,16 +181,24 @@ def signature(lat: IntersectionLattice, rng=None) -> Signature:
             null += len(active)
             break
         p, q = rng.choice(pairs) if rng is not None else pairs[0]
-        b = m[p][q]
+        b = m[p][q] * prev // scale[p]
         pos += 1
         neg += 1
         active.remove(p)
         active.remove(q)
-        rest = list(active)
-        old = {(k, l): m[k][l] for k in rest for l in rest}
-        for k in rest:
-            for l in rest:
-                m[k][l] = old[(k, l)] - (m[k][p] * m[q][l] + m[k][q] * m[p][l]) / b
+        rp, rq = at_prev(p), at_prev(q)
+        bb, pp = b * b, prev * prev
+        new = -bb // prev
+        for k in active:
+            rk = m[k]
+            if rk[p] == 0 and rk[q] == 0:
+                continue
+            kp = rk[p] * prev // scale[k]
+            kq = rk[q] * prev // scale[k]
+            for j, x, xp, xq in zip(active, at_prev(k), rp, rq):
+                rk[j] = (-bb * x + b * (kp * xq + kq * xp)) // pp
+            scale[k] = new
+        prev = new
     return Signature(pos, neg, null)
 
 

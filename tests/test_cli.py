@@ -1,7 +1,10 @@
+import hashlib
 import json
 import re
 import subprocess
 import sys
+
+import pytest
 
 
 def run_cli(*args, **kwargs):
@@ -140,6 +143,44 @@ class TestVerify:
         assert res.stderr.startswith("error:") and res.stderr.count("\n") == 1
         assert "Traceback" not in res.stderr
 
+    @pytest.mark.parametrize("entry", ["x", 1.5, True, None])
+    def test_non_integer_vector_entry_exits_2(self, tmp_path, entry):
+        import isurf
+
+        rank = isurf.build_stratum("1").lattice.rank
+        cfg = write_config(
+            tmp_path,
+            {
+                "surfaces": [{"builder": "1"}],
+                "checks": [{"check": "pair", "a": [1] + [0] * (rank - 2) + [entry], "b": "K"}],
+            },
+        )
+        res = run_cli("verify", cfg)
+        assert res.returncode == 2
+        assert res.stderr.startswith("error:") and res.stderr.count("\n") == 1
+        assert "integers" in res.stderr
+
+    def test_unwritable_dot_path_exits_2(self, tmp_path):
+        cfg = write_config(
+            tmp_path,
+            {
+                "surfaces": [{"builder": "1"}],
+                "checks": [{"check": "l_square", "expected": 1}],
+                "dot_path": str(tmp_path / "missing" / "strata.dot"),
+            },
+        )
+        res = run_cli("verify", cfg)
+        assert res.returncode == 2
+        assert res.stderr.startswith("error: cannot write dot_path:")
+        assert res.stderr.count("\n") == 1
+        assert res.stdout == ""
+
+    def test_non_string_dot_path_exits_2(self, tmp_path):
+        cfg = write_config(tmp_path, {"surfaces": [], "checks": [], "dot_path": 5})
+        res = run_cli("verify", cfg)
+        assert res.returncode == 2
+        assert res.stderr == "error: dot_path must be a string\n"
+
     def test_bad_builder_option_exits_2(self, tmp_path):
         cfg = write_config(
             tmp_path,
@@ -184,6 +225,42 @@ class TestReplicate:
         assert res.returncode == 0
         assert "thm4.3.pairing" in res.stdout
         assert "PASS" not in res.stdout
+
+    @pytest.mark.parametrize(
+        "args,digest",
+        [
+            (("replicate-paper", "--json"),
+             "c93fc7e372854b9f157c6077f65a5818ab5298060f241de847d2e000345d625b"),
+            (("replicate-paper", "--list"),
+             "e35c0668be44687594d398784de6c44ae1290399e0bb929766b01a381926d307"),
+            (("strata-graph",),
+             "b2b3deb5309a572bc7bdba5eba4a3c51152b55b196f3974998354b0aceb62217"),
+        ],
+    )
+    def test_output_is_byte_identical_to_golden(self, args, digest):
+        # the published catalog report, entry list and strata graph: any
+        # change to a computed value, a source label or the layout shows here
+        res = run_cli(*args)
+        assert res.returncode == 0
+        assert hashlib.sha256(res.stdout.encode("utf-8")).hexdigest() == digest
+
+    def test_vanishing_bound_crash_fails_only_its_entries(self, monkeypatch, capsys):
+        from isurf import builders, cli
+        from isurf.catalog import run_catalog
+
+        def broken(*args, **kwargs):
+            raise RuntimeError("double cover unavailable")
+
+        monkeypatch.setattr(builders, "build_double_cover", broken)
+        assert cli.main(["replicate-paper", "--list"]) == 0
+        assert "thm4.3.pairing  [Thm 4.3: B0.(sigma0+3f-e)]" in capsys.readouterr().out
+        report = run_catalog()
+        failed = {e.check_id for e in report.entries if not e.passed}
+        assert failed == {row[0] for row in builders.VANISHING_BOUNDS}
+        assert len(report.entries) - len(failed) == 111
+        assert cli.main(["replicate-paper"]) == 1
+        out = capsys.readouterr().out
+        assert "RuntimeError: double cover unavailable" in out
 
 
 class TestGermCommands:

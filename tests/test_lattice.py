@@ -2,6 +2,7 @@ import random
 
 import pytest
 import sympy
+from hypothesis import given, settings, strategies as st
 
 from isurf.errors import LatticeError
 from isurf.lattice import (
@@ -43,6 +44,98 @@ def random_symmetric(rng, n, bound=4):
 
 def lattice_of(gram):
     return from_rows([f"v{i}" for i in range(len(gram))], gram)
+
+
+def congruent(gram, P):
+    """P^T G P, which has the inertia of G when P is unimodular."""
+    n = len(gram)
+    GP = [[sum(gram[i][k] * P[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
+    return tuple(
+        tuple(sum(P[k][i] * GP[k][j] for k in range(n)) for j in range(n))
+        for i in range(n)
+    )
+
+
+def unitriangular(rng, n, lower):
+    return [
+        [1 if i == j else (rng.choice((-1, 0, 0, 1)) if (j < i) == lower else 0)
+         for j in range(n)]
+        for i in range(n)
+    ]
+
+
+def sylvester_form(rng, d, tail):
+    """P^T (diag(d) + tail) P, whose inertia is that of diag(d) plus that
+    of `tail` (Sylvester's law of inertia).
+
+    `tail` has an all-zero diagonal. P = [[U, X], [0, Q]] with U upper
+    unitriangular and Q a signed permutation, so det P = +-1. The leading
+    minors of U^T diag(d) U are partial products of the d_i, so
+    elimination pivots down the definite part first and is left with
+    Q^T tail Q, whose diagonal is all zero: the hyperbolic steps start
+    from the pivot minor prod(d), of absolute value above 1 when some
+    |d_i| > 1.
+    """
+    r, n = len(d), len(d) + len(tail)
+    D = [[0] * n for _ in range(n)]
+    for i, x in enumerate(d):
+        D[i][i] = x
+    for i, row in enumerate(tail):
+        D[r + i][r:] = row
+    P = [[0] * n for _ in range(n)]
+    for i in range(r):
+        P[i][i] = 1
+        for j in range(i + 1, n):
+            P[i][j] = rng.choice((-1, 0, 0, 1))
+    perm = list(range(r, n))
+    rng.shuffle(perm)
+    for i, j in zip(range(r, n), perm):
+        P[i][j] = rng.choice((-1, 1))
+    return congruent(D, P)
+
+
+def definite_part(rng, r):
+    d = [rng.choice((-3, -2, -1, 1, 2, 3)) for _ in range(r)]
+    pos = sum(1 for x in d if x > 0)
+    return d, (pos, r - pos, 0)
+
+
+def hyperbolic_tail(rng, h, z):
+    """[[0, B], [B^T, 0]] plus z zeros, with B a product of unitriangular
+    factors (det B = 1): diag(I, B^-1) takes it to h hyperbolic planes,
+    but B couples every row of one half to the other."""
+    B = congruent(unitriangular(rng, h, lower=False), unitriangular(rng, h, lower=True))
+    n = 2 * h + z
+    tail = [[0] * n for _ in range(n)]
+    for i in range(h):
+        for j in range(h):
+            tail[i][h + j] = tail[h + j][i] = B[i][j]
+    return tail, (h, h, z)
+
+
+def add_inertia(a, b):
+    return tuple(x + y for x, y in zip(a, b))
+
+
+@st.composite
+def form_and_unimodular(draw):
+    """A random symmetric G and a matrix P of determinant +-1: a signed
+    row permutation of a lower times an upper unitriangular factor."""
+    n = draw(st.integers(1, 8))
+    G = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            G[i][j] = G[j][i] = draw(st.integers(-3, 3))
+    off = st.integers(-2, 2)
+    L = [[1 if i == j else (draw(off) if j < i else 0) for j in range(n)] for i in range(n)]
+    U = [[1 if i == j else (draw(off) if j > i else 0) for j in range(n)] for i in range(n)]
+    order = draw(st.permutations(range(n)))
+    signs = draw(st.lists(st.sampled_from((-1, 1)), min_size=n, max_size=n))
+    P = [
+        [s * sum(L[i][k] * U[k][j] for k in range(n)) for j in range(n)]
+        for i, s in zip(order, signs)
+    ]
+    return tuple(tuple(r) for r in G), P
 
 
 class TestSignature:
@@ -117,6 +210,45 @@ class TestSignature:
         for _ in range(50):
             lat = lattice_of(random_symmetric(rng, rng.randint(1, 6)))
             assert signature(lat.scaled(3)) == signature(lat)
+
+    @pytest.mark.parametrize("n", [20, 40])
+    def test_sylvester_forms_with_hyperbolic_remainder(self, n):
+        rng = random.Random(n)
+        for h, z in ((n // 10, 1), (n // 5, n // 10), (n // 4, 0)):
+            d, want_d = definite_part(rng, n - 2 * h - z)
+            tail, want_tail = hyperbolic_tail(rng, h, z)
+            lat = lattice_of(sylvester_form(rng, d, tail))
+            want = add_inertia(want_d, want_tail)
+            assert signature(lat).as_tuple() == want
+            assert signature(lat, rng=random.Random(h + z)).as_tuple() == want
+
+    @pytest.mark.parametrize("n", [20, 40])
+    def test_sylvester_forms_with_zero_diagonal_tail(self, n):
+        # a hyperbolic step here leaves nonzero diagonals behind, so
+        # diagonal pivots follow it with the pivot minor it produced
+        rng = random.Random(100 + n)
+        for _ in range(4):
+            k = rng.randint(3, 7)
+            tail = [[0] * k for _ in range(k)]
+            for i in range(k):
+                for j in range(i + 1, k):
+                    tail[i][j] = tail[j][i] = rng.randint(-2, 2)
+            d, want_d = definite_part(rng, n - k)
+            lat = lattice_of(sylvester_form(rng, d, tail))
+            want = add_inertia(want_d, charpoly_inertia(tail))
+            assert signature(lat).as_tuple() == want
+            assert signature(lat, rng=random.Random(k)).as_tuple() == want
+
+    def test_large_named_families(self):
+        assert signature(make_named_lattice("Lambda0", 100)).as_tuple() == (1, 100, 0)
+        lat = make_named_lattice("Lambda2", 80, 80, scale=2)
+        assert signature(lat).as_tuple() == (1, 161, 0)
+
+    @settings(max_examples=80, deadline=None)
+    @given(form_and_unimodular())
+    def test_congruence_invariance(self, case):
+        gram, P = case
+        assert signature(lattice_of(congruent(gram, P))) == signature(lattice_of(gram))
 
 
 class TestNegativeDefinite:
